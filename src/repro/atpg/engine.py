@@ -11,6 +11,12 @@ index measurable.
 :mod:`repro.atpg.podem` and the single-pattern fault simulator, recording
 everything the experiment tables need (test count, run time, per-test
 detection counts, per-fault outcomes).
+
+PODEM outcomes come from :meth:`PodemEngine.outcome`, so a caller that
+passes one engine to several runs (the flow facade does, for all fault
+orders of a circuit) searches each fault once.  ``runtime_seconds``
+still reports what the run's test generation costs: a memo hit is
+charged the seconds of the search that first produced it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.atpg.podem import PodemEngine, PodemStatus
+from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus
 from repro.atpg.random_fill import fill_cube
 from repro.atpg.scoap import Scoap
 from repro.circuit.flatten import CompiledCircuit
@@ -103,24 +109,68 @@ class TestGenResult:
         return self.num_detected / len(self.status) if self.status else 1.0
 
 
+@dataclass
+class PodemTally:
+    """One run's PODEM accounting over a possibly shared engine.
+
+    ``calls`` and ``backtracks`` count every outcome the run asked for,
+    memo hits included, so they do not depend on what other runs of the
+    engine searched before; ``memo_seconds`` is the search time the hits
+    saved, which the run adds to its own wall time.
+    """
+
+    engine: PodemEngine
+    backtrack_limit: Optional[int]
+    calls: int = 0
+    backtracks: int = 0
+    memo_seconds: float = 0.0
+
+    @classmethod
+    def start(cls, circ: CompiledCircuit, config: TestGenConfig,
+              scoap: Optional[Scoap] = None,
+              engine: Optional[PodemEngine] = None) -> "PodemTally":
+        """A tally over ``engine``, which must be bound to ``circ``, or
+        over a fresh engine built with ``scoap`` when it is ``None``."""
+        if engine is None:
+            engine = PodemEngine(circ, scoap=scoap)
+        elif engine.circ is not circ:
+            raise AtpgError(
+                f"PODEM engine is bound to circuit {engine.circ.name!r}, "
+                f"not to {circ.name!r}"
+            )
+        return cls(engine, config.backtrack_limit)
+
+    def search(self, fault: Fault) -> PodemResult:
+        """The engine's memoized outcome for ``fault``, tallied."""
+        result, hit = self.engine.outcome(fault, self.backtrack_limit)
+        self.calls += 1
+        self.backtracks += result.backtracks
+        if hit:
+            self.memo_seconds += result.seconds
+        return result
+
+
 def generate_tests(
     circ: CompiledCircuit,
     ordered_faults: Sequence[Fault],
     config: Optional[TestGenConfig] = None,
     scoap: Optional[Scoap] = None,
+    engine: Optional[PodemEngine] = None,
 ) -> TestGenResult:
     """Run ordered test generation with fault dropping.
 
     ``ordered_faults`` is the target list *in target order* — the output
     of one of the :mod:`repro.adi.ordering` functions.  Faults detected by
-    an earlier test are never targeted.
+    an earlier test are never targeted.  ``engine`` is a PODEM engine
+    bound to ``circ`` whose memoized outcomes the run reuses (default: a
+    fresh engine built with ``scoap``).
     """
     if config is None:
         config = TestGenConfig()
     if len(set(ordered_faults)) != len(ordered_faults):
         raise AtpgError("ordered fault list contains duplicates")
 
-    engine = PodemEngine(circ, scoap=scoap)
+    podem = PodemTally.start(circ, config, scoap, engine)
     dropper = resolve_backend(circ, config.backend)
     fill_rng = make_rng(config.seed, f"fill:{circ.name}")
     status: Dict[Fault, FaultStatus] = {
@@ -129,16 +179,12 @@ def generate_tests(
     vectors: List[List[int]] = []
     detected_per_test: List[int] = []
     targeted: List[Fault] = []
-    podem_calls = 0
-    backtracks = 0
 
     started = time.perf_counter()
     for fault in ordered_faults:
         if status[fault] != FaultStatus.UNDETECTED:
             continue
-        result = engine.run(fault, backtrack_limit=config.backtrack_limit)
-        podem_calls += 1
-        backtracks += result.backtracks
+        result = podem.search(fault)
         if result.status == PodemStatus.UNDETECTABLE:
             status[fault] = FaultStatus.UNDETECTABLE
             continue
@@ -169,7 +215,7 @@ def generate_tests(
         vectors.append(vector)
         detected_per_test.append(dropped)
         targeted.append(fault)
-    runtime = time.perf_counter() - started
+    runtime = time.perf_counter() - started + podem.memo_seconds
 
     return TestGenResult(
         circuit_name=circ.name,
@@ -177,7 +223,7 @@ def generate_tests(
         status=status,
         detected_per_test=detected_per_test,
         targeted_faults=targeted,
-        podem_calls=podem_calls,
-        backtracks=backtracks,
+        podem_calls=podem.calls,
+        backtracks=podem.backtracks,
         runtime_seconds=runtime,
     )

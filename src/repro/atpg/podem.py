@@ -13,14 +13,20 @@ redundancy-removal pass (:mod:`repro.circuit.redundancy`) relies on.
 Event-driven implication: each PI assignment propagates through the two
 copies with a topological-order heap, recording every changed node on a
 trail so backtracking is O(changed nodes).
+
+A search's outcome depends only on the circuit, the fault and the
+backtrack limit, so :meth:`PodemEngine.outcome` memoizes it per engine:
+test generation for many fault orders of one circuit searches each
+fault once.  :meth:`PodemEngine.run` stays the uncached search.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.scoap import Scoap, compute_scoap
 from repro.circuit.flatten import CompiledCircuit
@@ -32,6 +38,7 @@ from repro.circuit.gate_types import (
 from repro.errors import AtpgError
 from repro.faults.model import Fault, check_fault
 from repro.sim.threeval import X, eval_gate3
+from repro.telemetry import get_registry
 
 
 class PodemStatus(Enum):
@@ -44,13 +51,19 @@ class PodemStatus(Enum):
 
 @dataclass
 class PodemResult:
-    """Test cube and statistics for one targeted fault."""
+    """Test cube and statistics for one targeted fault.
+
+    ``cube`` is a tuple so that a memoized result can be handed to every
+    caller without one of them corrupting it for the next; ``seconds``
+    is the wall time of the search that produced the result.
+    """
 
     fault: Fault
     status: PodemStatus
-    cube: Optional[List[int]] = None  # per-PI 0/1/X, only for SUCCESS
+    cube: Optional[Tuple[int, ...]] = None  # per-PI 0/1/X, only for SUCCESS
     backtracks: int = 0
     decisions: int = 0
+    seconds: float = 0.0
 
     @property
     def detected(self) -> bool:
@@ -70,22 +83,55 @@ class PodemEngine:
     """Reusable PODEM engine bound to one circuit.
 
     Construction computes SCOAP once; :meth:`run` can then be called for
-    many faults.
+    many faults, and :meth:`outcome` remembers each result for the
+    engine's lifetime.
     """
 
     def __init__(self, circ: CompiledCircuit, scoap: Optional[Scoap] = None):
         self.circ = circ
         self.scoap = scoap or compute_scoap(circ)
+        self._outcomes: Dict[Tuple[Fault, Optional[int]], PodemResult] = {}
 
     # -- public API ---------------------------------------------------------
 
+    def outcome(self, fault: Fault, backtrack_limit: Optional[int] = 200
+                ) -> Tuple[PodemResult, bool]:
+        """:meth:`run`'s result for ``(fault, backtrack_limit)``, memoized.
+
+        Returns ``(result, hit)``; ``hit`` is true when the result comes
+        from the memo, in which case no search ran and ``result.seconds``
+        is the cost of the search that first produced it.
+        """
+        key = (fault, backtrack_limit)
+        result = self._outcomes.get(key)
+        hit = result is not None
+        if not hit:
+            result = self._outcomes[key] = self.run(fault, backtrack_limit)
+            get_registry().counter(
+                "repro_atpg_backtracks_total",
+                "PODEM backtracks of computed (not memoized) searches.",
+            ).labels().inc(result.backtracks)
+        get_registry().counter(
+            "repro_atpg_podem_total",
+            "PODEM outcomes requested, by status and source.",
+        ).labels(status=result.status.value,
+                 source="memo" if hit else "computed").inc()
+        return result, hit
+
     def run(self, fault: Fault,
             backtrack_limit: Optional[int] = 200) -> PodemResult:
-        """Generate a test cube for ``fault``.
+        """Generate a test cube for ``fault`` (uncached).
 
         ``backtrack_limit=None`` removes the budget, making the search
         complete (used for undetectability proofs).
         """
+        started = time.perf_counter()
+        result = self._search(fault, backtrack_limit)
+        result.seconds = time.perf_counter() - started
+        return result
+
+    def _search(self, fault: Fault,
+                backtrack_limit: Optional[int]) -> PodemResult:
         check_fault(self.circ, fault)
         circ = self.circ
         self._fault = fault
@@ -130,7 +176,7 @@ class PodemEngine:
             action = self._next_action()
             if action == "success":
                 result.status = PodemStatus.SUCCESS
-                result.cube = [self._gval[i] for i in range(circ.num_inputs)]
+                result.cube = tuple(self._gval[:circ.num_inputs])
                 break
             if action == "backtrack":
                 flipped = False

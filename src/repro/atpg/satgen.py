@@ -174,7 +174,7 @@ class SatAtpg:
         for pi in region_pis:
             cube[pi] = 1 if outcome.model[gvar[pi]] else 0
         return PodemResult(
-            fault=fault, status=PodemStatus.SUCCESS, cube=cube,
+            fault=fault, status=PodemStatus.SUCCESS, cube=tuple(cube),
             backtracks=outcome.conflicts, decisions=outcome.decisions,
         )
 

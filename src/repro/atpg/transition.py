@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.atpg.engine import TestGenConfig
+from repro.atpg.engine import PodemTally, TestGenConfig
 from repro.atpg.podem import PodemEngine, PodemStatus
 from repro.atpg.random_fill import fill_cube
 from repro.atpg.scoap import Scoap
@@ -105,6 +105,7 @@ def generate_transition_tests(
     config: Optional[TestGenConfig] = None,
     scoap: Optional[Scoap] = None,
     launch_pool: int = LAUNCH_POOL_SIZE,
+    engine: Optional[PodemEngine] = None,
 ) -> TransitionTestGenResult:
     """Run ordered two-pattern test generation with fault dropping.
 
@@ -112,14 +113,15 @@ def generate_transition_tests(
     the output of one of the :mod:`repro.adi.ordering` functions applied
     to a transition :class:`~repro.adi.index.AdiResult`.  ``config``
     reuses :class:`repro.atpg.engine.TestGenConfig` (backtrack limit,
-    X-fill policy, seed, dropping backend).
+    X-fill policy, seed, dropping backend).  ``engine`` shares memoized
+    PODEM outcomes exactly as in :func:`repro.atpg.engine.generate_tests`.
     """
     if config is None:
         config = TestGenConfig()
     if len(set(ordered_faults)) != len(ordered_faults):
         raise AtpgError("ordered fault list contains duplicates")
 
-    engine = PodemEngine(circ, scoap=scoap)
+    podem = PodemTally.start(circ, config, scoap, engine)
     dropper = resolve_backend(circ, config.backend)
     fill_rng = make_rng(config.seed, f"transition-fill:{circ.name}")
     pool = PatternSet.random(
@@ -136,13 +138,11 @@ def generate_transition_tests(
     capture_vectors: List[List[int]] = []
     detected_per_test: List[int] = []
     targeted: List[TransitionFault] = []
-    podem_calls = 0
-    backtracks = 0
     launch_fallbacks = 0
 
     def justify_launch(fault: TransitionFault):
         """A launch vector putting the fault line at its initial value."""
-        nonlocal podem_calls, backtracks, launch_fallbacks
+        nonlocal launch_fallbacks
         line = launch_line_word(circ, pool_good, fault) & pool_mask
         candidates = line if fault.initial_value else line ^ pool_mask
         if candidates:
@@ -151,9 +151,7 @@ def generate_transition_tests(
         # must set the line to the initial value to excite it.
         launch_fallbacks += 1
         complement = Fault(fault.node, fault.pin, 1 - fault.initial_value)
-        result = engine.run(complement, backtrack_limit=config.backtrack_limit)
-        podem_calls += 1
-        backtracks += result.backtracks
+        result = podem.search(complement)
         if result.status != PodemStatus.SUCCESS:
             return None
         return fill_cube(result.cube, config.fill, fill_rng)
@@ -162,11 +160,7 @@ def generate_transition_tests(
     for fault in ordered_faults:
         if status[fault] != FaultStatus.UNDETECTED:
             continue
-        capture_result = engine.run(
-            fault.as_stuck_at(), backtrack_limit=config.backtrack_limit
-        )
-        podem_calls += 1
-        backtracks += capture_result.backtracks
+        capture_result = podem.search(fault.as_stuck_at())
         if capture_result.status == PodemStatus.UNDETECTABLE:
             # No v2 can observe the frozen value: the transition fault is
             # undetectable too.
@@ -209,7 +203,7 @@ def generate_transition_tests(
         capture_vectors.append(capture)
         detected_per_test.append(dropped)
         targeted.append(fault)
-    runtime = time.perf_counter() - started
+    runtime = time.perf_counter() - started + podem.memo_seconds
 
     return TransitionTestGenResult(
         circuit_name=circ.name,
@@ -220,8 +214,8 @@ def generate_transition_tests(
         status=status,
         detected_per_test=detected_per_test,
         targeted_faults=targeted,
-        podem_calls=podem_calls,
-        backtracks=backtracks,
+        podem_calls=podem.calls,
+        backtracks=podem.backtracks,
         launch_fallbacks=launch_fallbacks,
         runtime_seconds=runtime,
     )

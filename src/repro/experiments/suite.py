@@ -122,10 +122,12 @@ def _generator_spec(entry: SuiteEntry) -> GeneratorSpec:
 
 
 def _cache_dir() -> Path:
+    """``REPRO_CACHE_DIR``, else ``.repro_cache/suite`` under the working
+    directory (never inside the installed package)."""
     override = os.environ.get("REPRO_CACHE_DIR")
     if override:
         return Path(override)
-    return Path(__file__).resolve().parents[3] / ".repro_cache" / "suite"
+    return Path.cwd() / ".repro_cache" / "suite"
 
 
 def _cache_key(entry: SuiteEntry) -> str:
@@ -140,8 +142,8 @@ def build_circuit(name: str) -> CompiledCircuit:
     Generation plus redundancy removal can take tens of seconds for the
     larger entries, so the finished netlist is cached on disk in
     ``.bench`` form (keyed by the spec and an algorithm version) and
-    reloaded on subsequent runs.  Delete ``.repro_cache/`` or set
-    ``REPRO_CACHE_DIR`` to rebuild from scratch.
+    reloaded on subsequent runs.  Delete ``.repro_cache/`` in the working
+    directory or set ``REPRO_CACHE_DIR`` to rebuild from scratch.
     """
     entry = suite_entry(name)
     cache_file = _cache_dir() / f"{entry.name}-{_cache_key(entry)}.bench"

@@ -9,6 +9,12 @@ below it, because better orders leave fewer faults for PODEM to target.
 The published table reports a 9-circuit subset; this harness accepts any
 subset and defaults to the standard selection.
 
+The orders of one circuit share a memo of PODEM outcomes, so only the
+first order to target a fault searches for it; each
+``runtime_seconds`` still charges every PODEM outcome the order used at
+the cost of its search, which keeps the ratios independent of the order
+in which the runs happen.
+
 As an extension beyond the paper we also record the *ordering overhead*
 (U selection + ADI computation + permutation) separately, supporting the
 claim that the preprocessing cost is small.

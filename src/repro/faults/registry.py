@@ -87,11 +87,15 @@ class FaultModel:
         to the engine's native matrix query when it has one and pack
         the big-int words once otherwise, so third-party engines keep
         working unchanged.
-    ``testgen(circ, ordered_faults, config)``
+    ``testgen(circ, ordered_faults, config, engine=None)``
         The ordered fault-dropping test-generation loop
         (:func:`repro.atpg.engine.generate_tests` or
         :func:`repro.atpg.transition.generate_transition_tests`);
         implementations import lazily to keep the registry import-light.
+        ``engine`` is a :class:`repro.atpg.podem.PodemEngine` bound to
+        ``circ`` that the caller shares between runs (the flow facade
+        passes one per circuit, so every order reuses its memoized PODEM
+        outcomes); ``None`` means a fresh engine.
     ``fault_to_json(fault)`` / ``fault_from_json(data)``
         A stable JSON codec for one fault, used by the artifact cache.
     ``testgen_result_from_json(common, payload)``
@@ -250,18 +254,19 @@ def _transition_query_matrix(engine, faults) -> DetectionMatrix:
     return backend_transition_detection_matrix(engine, faults)
 
 
-def _stuck_at_testgen(circ, ordered_faults, config=None):
+def _stuck_at_testgen(circ, ordered_faults, config=None, engine=None):
     """Lazy forwarder to :func:`repro.atpg.engine.generate_tests`."""
     from repro.atpg.engine import generate_tests
 
-    return generate_tests(circ, ordered_faults, config)
+    return generate_tests(circ, ordered_faults, config, engine=engine)
 
 
-def _transition_testgen(circ, ordered_faults, config=None):
+def _transition_testgen(circ, ordered_faults, config=None, engine=None):
     """Lazy forwarder to :func:`~repro.atpg.transition.generate_transition_tests`."""
     from repro.atpg.transition import generate_transition_tests
 
-    return generate_transition_tests(circ, ordered_faults, config)
+    return generate_transition_tests(circ, ordered_faults, config,
+                                     engine=engine)
 
 
 def _transition_result_from_json(common, payload):

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.adi import ORDERS, AdiResult, USelection, compute_adi, select_u
 from repro.adi.metrics import CurveReport, curve_report
+from repro.atpg.podem import PodemEngine
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import ExperimentError, ReproError
 from repro.faults.registry import FaultModel, fault_model
@@ -473,7 +474,7 @@ class Flow:
         def compute():
             return self._model.testgen(
                 self.circuit(), self.ordered_faults(name),
-                self.config.testgen_config(),
+                self.config.testgen_config(), engine=self._podem_engine(),
             )
 
         return self._stage(
@@ -483,6 +484,17 @@ class Flow:
             ),
             decode=serialize.testgen_from_json,
         )
+
+    def _podem_engine(self) -> PodemEngine:
+        """The circuit's PODEM engine, shared by every order's testgen.
+
+        Its outcome memo (keyed by fault and backtrack limit) and SCOAP
+        live as long as the Flow, so each fault is searched once per
+        circuit whatever the number of orders.
+        """
+        if "podem" not in self._memo:
+            self._memo["podem"] = PodemEngine(self.circuit())
+        return self._memo["podem"]
 
     def report(self, order: Optional[str] = None) -> CurveReport:
         """Coverage-curve report of one order's generated test set."""

@@ -55,6 +55,8 @@ class TestCubeValidity:
         for fault in collapsed_fault_list(lion_circuit):
             result = engine.run(fault)
             assert result.status == PodemStatus.SUCCESS
+            # Read-only: a memoized cube is shared by every caller.
+            assert isinstance(result.cube, tuple)
             x_positions = [i for i, v in enumerate(result.cube) if v == X]
             assert len(x_positions) <= 4
             for completion in itertools.product((0, 1),

@@ -7,6 +7,7 @@ stay cheap inside the unit-test session.
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import suite
 from repro.experiments import (
     ALL_CIRCUITS,
     QUICK_CIRCUITS,
@@ -67,6 +68,16 @@ class TestSuiteRegistry:
         a = build_circuit("irs208")
         b = build_circuit("irs208")
         assert a is b  # lru_cache
+
+    def test_disk_cache_defaults_to_working_directory(self, monkeypatch,
+                                                      tmp_path):
+        # Not relative to the package: an installed package would write
+        # into the interpreter's lib directory.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert suite._cache_dir() == tmp_path / ".repro_cache" / "suite"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        assert suite._cache_dir() == tmp_path / "elsewhere"
 
 
 class TestExperimentRunner:

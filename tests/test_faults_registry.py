@@ -129,7 +129,7 @@ class TestExtension:
             random_pool=lambda n, c, s: MarkerBlock(n, 0, tuple([0] * n)),
             load=lambda engine, block: engine.load(block),
             query=lambda engine, faults: engine.detection_words(faults),
-            testgen=lambda circ, ordered, config=None: None,
+            testgen=lambda circ, ordered, config=None, engine=None: None,
             fault_to_json=lambda f: [f.node, f.pin, f.value],
             fault_from_json=lambda d: Fault(*d),
         )
