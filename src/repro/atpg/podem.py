@@ -10,9 +10,12 @@ unlimited backtrack budget PODEM is *complete*: exhausting the decision
 tree proves the fault undetectable.  That completeness is what the
 redundancy-removal pass (:mod:`repro.circuit.redundancy`) relies on.
 
-Event-driven implication: each PI assignment propagates through the two
-copies with a topological-order heap, recording every changed node on a
-trail so backtracking is O(changed nodes).
+Event-driven implication: each PI assignment propagates in topological
+order, recording every changed node on a trail so backtracking is
+O(changed nodes).  Gates are evaluated by per-kind evaluators that stop
+at a controlling value.  The faulty copy is evaluated only inside the
+fault's fanout cone (marked once per search); outside it no input can
+differ from the good copy, so the faulty value is the good value.
 
 A search's outcome depends only on the circuit, the fault and the
 backtrack limit, so :meth:`PodemEngine.outcome` memoizes it per engine:
@@ -23,9 +26,10 @@ fault once.  :meth:`PodemEngine.run` stays the uncached search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.scoap import Scoap, compute_scoap
@@ -35,9 +39,10 @@ from repro.circuit.gate_types import (
     controlling_value,
     is_inverting,
 )
+from repro.circuit.graph import output_cone
 from repro.errors import AtpgError
 from repro.faults.model import Fault, check_fault
-from repro.sim.threeval import X, eval_gate3
+from repro.sim.threeval import X
 from repro.telemetry import get_registry
 
 
@@ -71,12 +76,36 @@ class PodemResult:
         return self.status == PodemStatus.SUCCESS
 
 
+# Small-int gate kind codes (``int(GateType)``) and per-kind tables: plain
+# ints and lists are much cheaper to compare and index than enum members.
+_BUF, _NOT, _XOR, _XNOR = (int(t) for t in (
+    GateType.BUF, GateType.NOT, GateType.XOR, GateType.XNOR))
+_CONTROLLING = [controlling_value(t) for t in GateType]
+_INVERTING = [int(is_inverting(t)) for t in GateType]
+_NEGATE = (1, 0, X)
+
+#: Three-valued evaluators over a tuple of fanin values, by kind; one-input
+#: gates read element 0 (their fanin getter yields a pair, see ``__init__``).
+_EVALUATORS = {
+    GateType.BUF: itemgetter(0),
+    GateType.NOT: lambda v: _NEGATE[v[0]],
+    GateType.AND: lambda v: 0 if 0 in v else (X if X in v else 1),
+    GateType.NAND: lambda v: 1 if 0 in v else (X if X in v else 0),
+    GateType.OR: lambda v: 1 if 1 in v else (X if X in v else 0),
+    GateType.NOR: lambda v: 0 if 1 in v else (X if X in v else 1),
+    GateType.XOR: lambda v: X if X in v else sum(v) & 1,
+    GateType.XNOR: lambda v: X if X in v else (sum(v) & 1) ^ 1,
+    GateType.CONST0: lambda v: 0,
+    GateType.CONST1: lambda v: 1,
+}
+
+
 @dataclass
 class _Decision:
     pi: int
     value: int
     tried_both: bool
-    trail: List[Tuple[int, int, int]] = field(default_factory=list)
+    trail: List[Tuple[int, int, int]]
 
 
 class PodemEngine:
@@ -91,6 +120,22 @@ class PodemEngine:
         self.circ = circ
         self.scoap = scoap or compute_scoap(circ)
         self._outcomes: Dict[Tuple[Fault, Optional[int]], PodemResult] = {}
+        # Per node: its kind code (a one-input gate is a BUF or NOT), the
+        # kind's evaluator, and a getter of its fanin values that always
+        # yields a tuple (a one-input gate reads its source twice).
+        self._kind: List[int] = []
+        self._eval = []
+        self._fanin_of = []
+        for srcs, gtype in zip(circ.fanin, circ.node_type):
+            if len(srcs) == 1:
+                srcs = srcs * 2
+                gtype = GateType.NOT if is_inverting(gtype) else GateType.BUF
+            self._kind.append(int(gtype))
+            self._eval.append(_EVALUATORS.get(gtype))
+            self._fanin_of.append(itemgetter(*srcs) if srcs
+                                  else lambda values: ())
+        self._constants = [node for node in circ.gate_nodes()
+                           if not circ.fanin[node]]
 
     # -- public API ---------------------------------------------------------
 
@@ -105,13 +150,18 @@ class PodemEngine:
         key = (fault, backtrack_limit)
         result = self._outcomes.get(key)
         hit = result is not None
+        registry = get_registry()
         if not hit:
             result = self._outcomes[key] = self.run(fault, backtrack_limit)
-            get_registry().counter(
+            registry.counter(
                 "repro_atpg_backtracks_total",
                 "PODEM backtracks of computed (not memoized) searches.",
             ).labels().inc(result.backtracks)
-        get_registry().counter(
+            registry.histogram(
+                "repro_atpg_podem_seconds",
+                "Wall time of computed (not memoized) PODEM searches.",
+            ).labels(status=result.status.value).observe(result.seconds)
+        registry.counter(
             "repro_atpg_podem_total",
             "PODEM outcomes requested, by status and source.",
         ).labels(status=result.status.value,
@@ -144,30 +194,23 @@ class PodemEngine:
             self._site_good_node = fault.node
         else:
             self._site_good_node = circ.fanin[fault.node][fault.pin]
+        # The fault's fanout cone: the only nodes whose faulty value can
+        # differ from the good one.
+        self._cone = bytearray(circ.num_nodes)
+        for node in output_cone(circ, fault.node):
+            self._cone[node] = 1
 
-        # Constant gates have no fanin and are never reached by PI
-        # propagation: seed their values explicitly (good copy always,
-        # faulty copy unless the fault pins this very node).
-        seeds = []
-        for node in circ.gate_nodes():
-            gtype = circ.node_type[node]
-            if gtype in (GateType.CONST0, GateType.CONST1):
-                value = 1 if gtype == GateType.CONST1 else 0
-                fvalue = value
-                if fault.is_stem and node == fault.node:
-                    fvalue = self._stuck
-                self._set_node(node, value, fvalue, None)
-                seeds.extend(circ.fanout[node])
-
-        # Permanently inject the fault into the faulty copy and let any
-        # unconditional implications settle (no trail: never undone).
-        if fault.is_stem:
-            if self._gval[fault.node] == X:  # const nodes already seeded
-                self._set_node(fault.node, X, self._stuck, None)
+        # Constant gates are never reached from a primary input, so they
+        # seed the first implication.  It also injects the fault, and its
+        # trail is never undone.
+        permanent: List[Tuple[int, int, int]] = []
+        seeds = list(self._constants)
+        if fault.is_stem and fault.node < circ.num_inputs:
+            self._set_node(fault.node, X, self._stuck, permanent)
             seeds.extend(circ.fanout[fault.node])
         else:
             seeds.append(fault.node)
-        self._propagate(seeds, None)
+        self._propagate(seeds, permanent)
 
         result = PodemResult(fault=fault, status=PodemStatus.UNDETECTABLE)
         stack: List[_Decision] = []
@@ -178,128 +221,110 @@ class PodemEngine:
                 result.status = PodemStatus.SUCCESS
                 result.cube = tuple(self._gval[:circ.num_inputs])
                 break
-            if action == "backtrack":
-                flipped = False
-                while stack:
-                    decision = stack.pop()
-                    self._undo(decision.trail)
-                    if not decision.tried_both:
-                        result.backtracks += 1
-                        if (backtrack_limit is not None
-                                and result.backtracks > backtrack_limit):
-                            result.status = PodemStatus.ABORTED
-                            return result
-                        value = decision.value ^ 1
-                        trail: List[Tuple[int, int, int]] = []
-                        self._assign_pi(decision.pi, value, trail)
-                        stack.append(_Decision(decision.pi, value, True, trail))
-                        flipped = True
-                        break
-                if not flipped:
-                    result.status = PodemStatus.UNDETECTABLE
-                    break
-                continue
-            # action is an (objective_node, objective_value) pair.
-            target = self._backtrace(*action)
+            # action is "backtrack" or an (objective_node, value) pair;
+            # an objective with no X-path back to an input backtracks too.
+            target = (None if action == "backtrack"
+                      else self._backtrace(*action))
             if target is None:
-                # No X-path of assignable inputs towards the objective.
-                action = "backtrack"
-                # Treat exactly like a conflict on the next loop entry by
-                # forcing a backtrack via the stack.
-                flipped = False
-                while stack:
-                    decision = stack.pop()
-                    self._undo(decision.trail)
-                    if not decision.tried_both:
-                        result.backtracks += 1
-                        if (backtrack_limit is not None
-                                and result.backtracks > backtrack_limit):
-                            result.status = PodemStatus.ABORTED
-                            return result
-                        value = decision.value ^ 1
-                        trail = []
-                        self._assign_pi(decision.pi, value, trail)
-                        stack.append(_Decision(decision.pi, value, True, trail))
-                        flipped = True
-                        break
-                if not flipped:
-                    result.status = PodemStatus.UNDETECTABLE
+                if not self._backtrack(stack, result, backtrack_limit):
                     break
                 continue
-            pi, value = target
             result.decisions += 1
-            trail = []
-            self._assign_pi(pi, value, trail)
-            stack.append(_Decision(pi, value, False, trail))
+            self._decide(stack, *target, tried_both=False)
 
         return result
+
+    def _backtrack(self, stack: List[_Decision], result: PodemResult,
+                   backtrack_limit: Optional[int]) -> bool:
+        """Undo decisions up to the latest one with an untried value and
+        flip it; False (with ``result.status`` set) when the search ends."""
+        while stack:
+            decision = stack.pop()
+            self._undo(decision.trail)
+            if not decision.tried_both:
+                result.backtracks += 1
+                if (backtrack_limit is not None
+                        and result.backtracks > backtrack_limit):
+                    result.status = PodemStatus.ABORTED
+                    return False
+                self._decide(stack, decision.pi, decision.value ^ 1,
+                             tried_both=True)
+                return True
+        result.status = PodemStatus.UNDETECTABLE
+        return False
 
     # -- value management ----------------------------------------------------
 
     def _set_node(self, node: int, g: int, f: int,
-                  trail: Optional[List[Tuple[int, int, int]]]) -> None:
-        if trail is not None:
-            trail.append((node, self._gval[node], self._fval[node]))
+                  trail: List[Tuple[int, int, int]]) -> None:
+        trail.append((node, self._gval[node], self._fval[node]))
         self._gval[node] = g
         self._fval[node] = f
-        if g != X and f != X and g != f:
+        if g ^ f == 1:  # 0/1 or 1/0: the node carries D
             self._d_nodes.add(node)
         else:
             self._d_nodes.discard(node)
 
     def _undo(self, trail: List[Tuple[int, int, int]]) -> None:
+        gval, fval, d_nodes = self._gval, self._fval, self._d_nodes
         for node, g, f in reversed(trail):
-            self._gval[node] = g
-            self._fval[node] = f
-            if g != X and f != X and g != f:
-                self._d_nodes.add(node)
+            gval[node] = g
+            fval[node] = f
+            if g ^ f == 1:
+                d_nodes.add(node)
             else:
-                self._d_nodes.discard(node)
+                d_nodes.discard(node)
 
-    def _eval_good(self, node: int) -> int:
-        srcs = self.circ.fanin[node]
-        return eval_gate3(
-            self.circ.node_type[node], [self._gval[s] for s in srcs]
-        )
-
-    def _eval_faulty(self, node: int) -> int:
+    def _decide(self, stack: List[_Decision], pi: int, value: int,
+                tried_both: bool) -> None:
+        """Assign ``pi``, imply, and push the decision with its trail."""
+        trail: List[Tuple[int, int, int]] = []
         fault = self._fault
-        if fault.is_stem and node == fault.node:
-            return self._stuck
-        srcs = self.circ.fanin[node]
-        values = [self._fval[s] for s in srcs]
-        if fault.is_branch and node == fault.node:
-            values[fault.pin] = self._stuck
-        return eval_gate3(self.circ.node_type[node], values)
-
-    def _assign_pi(self, pi: int, value: int,
-                   trail: List[Tuple[int, int, int]]) -> None:
-        fault = self._fault
-        fval = value
-        if fault.is_stem and pi == fault.node:
-            fval = self._stuck
-        self._set_node(pi, value, fval, trail)
+        stuck = fault.is_stem and pi == fault.node
+        self._set_node(pi, value, self._stuck if stuck else value, trail)
         self._propagate(self.circ.fanout[pi], trail)
+        stack.append(_Decision(pi, value, tried_both, trail))
 
     def _propagate(self, start_nodes: Sequence[int],
-                   trail: Optional[List[Tuple[int, int, int]]]) -> None:
-        heap: List[int] = []
-        queued: Set[int] = set()
-        for node in start_nodes:
-            if node not in queued:
-                queued.add(node)
-                heappush(heap, node)
+                   trail: List[Tuple[int, int, int]]) -> None:
+        gval, fval, d_nodes = self._gval, self._fval, self._d_nodes
+        fanin_of, evaluate, cone = self._fanin_of, self._eval, self._cone
+        fanout, fault, site = self.circ.fanout, self._fault, self._fault.node
+        # Node ids are topological, so a min-heap visits every node after
+        # its fanins, and copies of one node pop back to back.
+        heap = sorted(start_nodes)
+        last = -1
         while heap:
             node = heappop(heap)
-            new_g = self._eval_good(node)
-            new_f = self._eval_faulty(node)
-            if new_g == self._gval[node] and new_f == self._fval[node]:
+            if node == last:
                 continue
-            self._set_node(node, new_g, new_f, trail)
-            for nxt in self.circ.fanout[node]:
-                if nxt not in queued:
-                    queued.add(nxt)
-                    heappush(heap, nxt)
+            last = node
+            get, ev = fanin_of[node], evaluate[node]
+            g = ev(get(gval))
+            if not cone[node]:
+                if g == gval[node]:
+                    continue
+                f = g
+            else:
+                if node != site:
+                    f = ev(get(fval))
+                elif fault.is_stem:
+                    f = self._stuck
+                else:
+                    values = list(get(fval))
+                    values[fault.pin] = self._stuck
+                    f = ev(values)
+                if g == gval[node] and f == fval[node]:
+                    continue
+                if g ^ f == 1:
+                    d_nodes.add(node)
+                else:
+                    d_nodes.discard(node)
+            trail.append((node, gval[node], fval[node]))
+            gval[node] = g
+            fval[node] = f
+            for nxt in fanout[node]:
+                heappush(heap, nxt)
 
     # -- search logic ----------------------------------------------------------
 
@@ -384,51 +409,44 @@ class PodemEngine:
     def _backtrace(self, node: int, value: int) -> Optional[Tuple[int, int]]:
         """Walk an objective back to an unassigned PI, SCOAP-guided."""
         circ = self.circ
-        scoap = self.scoap
+        gval, kinds = self._gval, self._kind
+        cc0, cc1 = self.scoap.cc0, self.scoap.cc1
         guard = 0
         while node >= circ.num_inputs:
             guard += 1
-            if guard > circ.num_nodes:
+            if guard > len(gval):
                 raise AtpgError("backtrace failed to terminate")
-            gtype = circ.node_type[node]
+            kind = kinds[node]
             srcs = circ.fanin[node]
-            x_srcs = [s for s in srcs if self._gval[s] == X]
+            x_srcs = [s for s in srcs if gval[s] == X]
             if not x_srcs:
                 return None
-            if gtype in (GateType.BUF, GateType.NOT):
+            if kind == _BUF or kind == _NOT:
                 node = srcs[0]
-                if gtype == GateType.NOT:
-                    value ^= 1
+                value ^= _INVERTING[kind]
                 continue
-            if gtype in (GateType.XOR, GateType.XNOR):
+            if kind == _XOR or kind == _XNOR:
                 if len(x_srcs) == 1:
-                    parity = value ^ (1 if gtype == GateType.XNOR else 0)
+                    parity = value ^ _INVERTING[kind]
                     for s in srcs:
-                        if self._gval[s] != X:
-                            parity ^= self._gval[s]
+                        if gval[s] != X:
+                            parity ^= gval[s]
                     node, value = x_srcs[0], parity
                 else:
-                    node = min(
-                        x_srcs,
-                        key=lambda s: min(scoap.cc0[s], scoap.cc1[s]),
-                    )
-                    value = 0 if scoap.cc0[node] <= scoap.cc1[node] else 1
+                    node = min(x_srcs, key=lambda s: min(cc0[s], cc1[s]))
+                    value = 0 if cc0[node] <= cc1[node] else 1
                 continue
-            ctrl = controlling_value(gtype)
-            base = value ^ (1 if is_inverting(gtype) else 0)
-            if base == ctrl:
+            ctrl = _CONTROLLING[kind]
+            if value ^ _INVERTING[kind] == ctrl:
                 # One controlling input suffices: take the easiest.
-                node = min(x_srcs, key=lambda s: scoap.cost(s, ctrl))
                 value = ctrl
+                node = min(x_srcs, key=(cc1 if ctrl else cc0).__getitem__)
             else:
                 # Every input must be non-controlling: attack the hardest
                 # first so conflicts surface early.
-                noncontrolling = ctrl ^ 1
-                node = max(
-                    x_srcs, key=lambda s: scoap.cost(s, noncontrolling)
-                )
-                value = noncontrolling
-        if self._gval[node] != X:
+                value = ctrl ^ 1
+                node = max(x_srcs, key=(cc1 if value else cc0).__getitem__)
+        if gval[node] != X:
             return None
         return node, value
 

@@ -171,7 +171,7 @@ def _simplify_gate(gate: GateDef, const: Dict[str, int]) -> GateDef:
                 continue  # identity value: drop the pin
             if src in kept:
                 continue  # idempotent duplicate
-        # NOTE: duplicates dropped above; order of survivors preserved.
+            # Duplicates were dropped above; survivors keep their order.
             kept.append(src)
         if not kept:
             return GateDef(gate.name, _const_type((ctrl ^ 1) ^ inv), ())
@@ -258,11 +258,13 @@ def find_undetectable(
     else:
         candidates = faults
 
+    # One engine per pass: its memo never serves a hit here, but the
+    # searches show up in the PODEM metrics like testgen's do.
     engine = PodemEngine(circ)
     undetectable: List[Fault] = []
     aborted: List[Fault] = []
     for fault in candidates:
-        outcome = engine.run(fault, backtrack_limit=backtrack_limit)
+        outcome, _ = engine.outcome(fault, backtrack_limit)
         if outcome.status == PodemStatus.UNDETECTABLE:
             undetectable.append(fault)
         elif outcome.status == PodemStatus.ABORTED:

@@ -83,6 +83,9 @@ class TestSharedMemoMatchesFreshEngines:
         assert counts["memo"] > counts["computed"]
         backtracks = registry.counter("repro_atpg_backtracks_total")
         assert backtracks.labels().value <= sum(r.backtracks for r in results)
+        # Search time is observed for computed searches only.
+        seconds = registry.histogram("repro_atpg_podem_seconds").series()
+        assert sum(s.count for s in seconds) == counts["computed"]
 
     def test_engine_for_another_circuit_is_rejected(self, c17_circuit,
                                                     lion_circuit):

@@ -18,6 +18,7 @@ from repro.circuit.redundancy import (
 )
 from repro.faults import collapsed_fault_list
 from repro.sim import PatternSet, simulate_outputs
+from repro.telemetry import MetricsRegistry, scoped_registry
 
 from helpers import generated_circuit
 
@@ -133,6 +134,19 @@ class TestFindUndetectable:
         undetectable, aborted = find_undetectable(redundant_circuit)
         assert undetectable
         assert aborted == []
+
+    def test_searches_show_in_podem_metrics(self, redundant_circuit):
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            undetectable, _ = find_undetectable(redundant_circuit,
+                                                prefilter_patterns=0)
+        searched = len(collapsed_fault_list(redundant_circuit))
+        counts = {dict(s.labels)["status"]: s.value for s in
+                  registry.counter("repro_atpg_podem_total").series()}
+        assert sum(counts.values()) == searched
+        assert counts["undetectable"] == len(undetectable)
+        seconds = registry.histogram("repro_atpg_podem_seconds").series()
+        assert sum(s.count for s in seconds) == searched
 
 
 class TestTieFaultLine:
