@@ -8,90 +8,118 @@ updated counts.  The next fault placed is always one with the currently
 highest ADI (ties broken by original position, mirroring the static
 orders).
 
-Complexity.  Because one placement decrements every ``ndet(u)`` it
-touches by exactly 1, a fault's current ADI only ever *decreases*, and
-only by small steps — the top of any priority structure is a dense
-plateau of tied values, which makes per-candidate numpy recomputation
-(the classic lazy max-heap) the bottleneck.  The minimum-mode order
-therefore runs on a **bucket queue over the packed detection sets**:
-faults sit in buckets keyed by their last-known ADI upper bound, and a
-candidate at plateau value ``V`` is verified with one big-int AND
-against a *threshold mask* — the pattern set ``{u : ndet(u) < V}`` kept
-as a Python integer.  ``D(f)`` intersects that mask iff the fault's
-true ADI has dropped below ``V`` (then it descends one bucket);
-otherwise its ADI is exactly ``V`` and it is placed.  Each verification
-is one ``O(P/64)`` word AND instead of a numpy gather+reduce, and the
-mask is maintained incrementally from the patterns whose ``ndet``
-crosses the plateau threshold.  Average mode (no min structure to
-exploit) keeps the lazy max-heap.
+Complexity.  One placement lowers every ``ndet(u)`` it touches by
+exactly 1, so a fault's current ADI never increases, and on wide fault
+sets almost every fault follows the top plateau down one level at a
+time.  The minimum-mode order therefore **sweeps the levels** ``V`` from
+the highest ADI down, on the packed rows of :attr:`AdiResult.matrix`,
+and never computes an ADI:
+
+* A fault joins the sweep at the level of its static ADI.  At level
+  ``V`` the *tied* set holds every unplaced fault that has joined.
+* The tied set is walked in position order.  The first fault is placed
+  and ``ndet`` is decremented over its ``D(f)``; every later tied fault
+  whose row holds a pattern that just fell to ``V - 1`` is demoted, with
+  one AND per touched word across all of them at once; the next fault
+  not demoted is placed, and so on.  Every fault of the walk that was
+  not placed stays tied for level ``V - 1``, and the faults whose static
+  ADI is ``V - 1`` join it.
+* A level with no fault is never visited: when everything tied is
+  placed, the sweep jumps to the next level that has joiners.
+
+Why it is exact: the tied set at level ``V`` is precisely the set of
+unplaced faults whose current ADI is ``V``.  Placements happen at
+non-increasing levels, and a fault placed at level ``V'`` has ADI
+``V'``, so every pattern it touches is at least ``V'`` before and at
+least ``V' - 1`` after.  So when level ``V`` starts, no pattern
+has fallen below ``V`` unless it started there, and a fault whose
+static ADI is at least ``V`` has ADI at least ``V``.  It has ADI at most
+``V`` too: a fault that reached ``V + 1`` and was not placed there was
+demoted.  Within the walk, a placed fault has no pattern below ``V``, so
+a pattern drops to ``V - 1`` and no further, and a demoted fault has ADI
+exactly ``V - 1``.  The walk therefore places, at every step, the lowest
+position among the faults of the highest current ADI, as the paper's
+procedure does.  Average mode (no min structure to exploit) keeps the
+lazy max-heap.
+
+The full placement sequence is cached on the :class:`AdiResult`, so
+``Fdynm`` and ``F0dynm`` of one result (the same dynamic core with the
+zero-ADI faults at the other end) run the kernel once.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.adi.index import AdiMode, AdiResult, compute_adi
 
 
-def _threshold_mask(ndet: np.ndarray, bound: int) -> int:
-    """``{u : ndet(u) <= bound}`` as a big-int pattern mask."""
-    return int.from_bytes(
-        np.packbits(ndet <= bound, bitorder="little").tobytes(), "little"
-    )
+def _misses(columns: np.ndarray, patterns: List[int]) -> np.ndarray:
+    """Which columns of ``columns`` hold none of ``patterns``.
+
+    ``columns`` is a ``(num_words, n)`` slice of transposed packed rows;
+    only the words ``patterns`` fall in are read.
+    """
+    masks: Dict[int, int] = {}
+    for u in patterns:
+        masks[u >> 6] = masks.get(u >> 6, 0) | 1 << (u & 63)
+    hits = None
+    for word, mask in masks.items():
+        hit = columns[word] & np.uint64(mask)
+        hits = hit if hits is None else hits | hit
+    return hits == 0
 
 
 def _minimum_placements(result: AdiResult, active: List[int],
                         limit: int) -> List[Tuple[int, int]]:
-    """Bucket-queue dynamic order for ``AdiMode.MINIMUM`` (see module doc)."""
-    ndet = result.ndet.astype(np.int64).copy()
-    num_patterns = result.num_vectors
-    det_vectors = result.det_vectors
-    masks = result.detection_masks
-    adi = result.adi
-
-    buckets = {}
-    for i in active:
-        buckets.setdefault(int(adi[i]), []).append(i)
-    for bucket in buckets.values():
-        heapq.heapify(bucket)
+    """Level-sweep dynamic order for ``AdiMode.MINIMUM`` (see module doc)."""
     placements: List[Tuple[int, int]] = []
-    if not buckets:
+    if not active or not limit:
         return placements
-    remaining = len(active)
-    value = max(buckets)
-    below = _threshold_mask(ndet, value - 1)
-
-    while remaining and len(placements) < limit:
-        bucket = buckets.get(value)
-        if not bucket:
+    matrix = result.matrix
+    ndet = result.ndet.astype(np.int64)  # a copy: placements decrement it
+    positions = np.asarray(active, dtype=np.int64)
+    start = result.adi[positions]
+    by_level = np.argsort(-start, kind="stable")
+    cuts = np.flatnonzero(np.diff(start[by_level])) + 1
+    join_levels = start[by_level][np.r_[0, cuts]].tolist()
+    joiners = np.split(positions[by_level], cuts)
+    joined = 0
+    value = join_levels[0]
+    # The unplaced faults whose current ADI is ``value``, by position.
+    tied = np.empty(0, dtype=np.int64)
+    while len(placements) < limit:
+        if joined < len(join_levels) and join_levels[joined] == value:
+            tied = np.sort(np.concatenate((tied, joiners[joined])))
+            columns = np.ascontiguousarray(matrix.words[tied].T)
+            joined += 1
+        live = np.ones(tied.size, dtype=bool)
+        k = 0
+        while k < tied.size and len(placements) < limit:
+            i = int(tied[k])
+            placements.append((i, value))
+            k += 1
+            seg = matrix.row_indices(i)
+            counts = ndet[seg] - 1
+            ndet[seg] = counts
+            crossed = seg[counts == value - 1].tolist()
+            if crossed and k < tied.size:
+                live[k:] &= _misses(columns[:, k:], crossed)
+            if k < tied.size and not live[k]:
+                k += int(live[k:].argmax())
+                if not live[k]:
+                    break
+        # Demoted faults now have ADI exactly ``value - 1``.
+        tied, columns = tied[~live], columns[:, ~live]
+        if tied.size:
             value -= 1
-            below = _threshold_mask(ndet, value - 1)
-            continue
-        i = heapq.heappop(bucket)
-        if masks[i] & below:
-            # Some detecting pattern fell under the plateau: the true
-            # ADI is < value.  Descend one bucket; the exact value is
-            # discovered when (if) the fault reaches the top again.
-            heapq.heappush(buckets.setdefault(value - 1, []), i)
-            continue
-        # No detecting pattern is below the plateau and ``value`` is an
-        # upper bound, so the ADI is exactly ``value`` — and ``i`` is
-        # the smallest active position at it: place.
-        placements.append((i, value))
-        remaining -= 1
-        seg = det_vectors[i]
-        if seg.size:
-            ndet[seg] -= 1
-            crossed = seg[ndet[seg] == value - 1]
-            if crossed.size:
-                buf = np.zeros(num_patterns, dtype=np.uint8)
-                buf[crossed] = 1
-                below |= int.from_bytes(
-                    np.packbits(buf, bitorder="little").tobytes(), "little"
-                )
+        elif joined < len(join_levels):
+            value = join_levels[joined]
+        else:
+            break
     return placements
 
 
@@ -146,9 +174,22 @@ def _dynamic_placements(result: AdiResult, active: List[int],
     return _average_placements(result, active, limit)
 
 
-def _dynamic_core(result: AdiResult, active: List[int]) -> List[int]:
-    """Order ``active`` fault positions by dynamically-updated ADI."""
-    return [i for i, __ in _dynamic_placements(result, active)]
+def _nonzero(result: AdiResult) -> List[int]:
+    """Positions of the faults the dynamic procedure places (ADI > 0)."""
+    return np.flatnonzero(result.adi).tolist()
+
+
+def _placements(result: AdiResult) -> Tuple[Tuple[int, int], ...]:
+    """The whole placement sequence of ``result``, computed once.
+
+    Cached on the result (it depends only on the result's matrix, counts
+    and mode), so ``Fdynm``, ``F0dynm`` and long prefixes share one
+    kernel run.
+    """
+    if result._placements is None:
+        result._placements = tuple(
+            _dynamic_placements(result, _nonzero(result)))
+    return result._placements
 
 
 def fdynm(result: AdiResult) -> List[int]:
@@ -157,9 +198,8 @@ def fdynm(result: AdiResult) -> List[int]:
     This is the order the paper recommends for steep fault-coverage
     curves (and walks through step by step on ``lion`` in Section 3).
     """
-    nonzero = [i for i in range(len(result.faults)) if result.adi[i] != 0]
-    zeros = [i for i in range(len(result.faults)) if result.adi[i] == 0]
-    return _dynamic_core(result, nonzero) + zeros
+    zeros = np.flatnonzero(result.adi == 0).tolist()
+    return [i for i, __ in _placements(result)] + zeros
 
 
 def f0dynm(result: AdiResult) -> List[int]:
@@ -168,9 +208,8 @@ def f0dynm(result: AdiResult) -> List[int]:
     This is the order the paper recommends for dynamic test compaction
     (smallest test sets, Table 5's best column).
     """
-    nonzero = [i for i in range(len(result.faults)) if result.adi[i] != 0]
-    zeros = [i for i in range(len(result.faults)) if result.adi[i] == 0]
-    return zeros + _dynamic_core(result, nonzero)
+    zeros = np.flatnonzero(result.adi == 0).tolist()
+    return zeros + [i for i, __ in _placements(result)]
 
 
 def dynamic_order(circ, faults: Sequence, patterns,
@@ -201,14 +240,13 @@ def dynamic_prefix(result: AdiResult, count: int) -> List[tuple]:
     detection index is obtained for f22 with ADI = 15, ...").  Returns
     ``(position, adi_at_placement)`` pairs.
 
-    Shares :func:`_dynamic_placements` with :func:`fdynm` instead of
-    rescanning every remaining fault per placement, so the placements
-    are identical to ``fdynm(result)[:count]`` by construction
-    (regression-tested on the paper's ``lion`` walk-through).  This
-    includes honouring ``result.mode``: an ``AdiMode.AVERAGE`` result
-    yields mean-based placements, matching ``fdynm`` (the historical
-    rescan always used the minimum and could disagree with ``fdynm``
-    on average-mode results).
+    Once :func:`fdynm` or :func:`f0dynm` has run on ``result``, this
+    slices their cached sequence; otherwise it runs the shared kernel
+    only until ``count`` faults are placed.  Either way the placements
+    are identical to ``fdynm(result)[:count]`` (regression-tested on the
+    paper's ``lion`` walk-through), ``result.mode`` included: an
+    ``AdiMode.AVERAGE`` result yields mean-based placements.
     """
-    nonzero = [i for i in range(len(result.faults)) if result.adi[i] != 0]
-    return _dynamic_placements(result, nonzero, count=count)
+    if result._placements is not None:
+        return list(result._placements[: max(0, count)])
+    return _dynamic_placements(result, _nonzero(result), count=count)

@@ -88,6 +88,10 @@ class AdiResult:
         default=None, init=False, repr=False, compare=False)
     _positions: Optional[Dict[TargetFault, int]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: The dynamic orders' placement sequence, filled by
+    #: :mod:`repro.adi.dynamic` on first use.
+    _placements: Optional[Tuple[Tuple[int, int], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def detection_masks(self) -> Tuple[int, ...]:

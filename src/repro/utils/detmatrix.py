@@ -289,9 +289,10 @@ class DetectionMatrix:
     def row_indices(self, row: int) -> np.ndarray:
         """Sorted pattern indices of row ``row``'s set bits (int64)."""
         bits = np.unpackbits(
-            self.words[row].astype("<u8").view(np.uint8), bitorder="little"
+            self.words[row].astype("<u8", copy=False).view(np.uint8),
+            count=self.num_patterns, bitorder="little",
         )
-        return np.flatnonzero(bits[: self.num_patterns]).astype(np.int64)
+        return bits.nonzero()[0].astype(np.int64, copy=False)
 
     def row_index_lists(self) -> List[np.ndarray]:
         """Per-row set-bit index arrays — ``D(f)`` for every fault at once.
