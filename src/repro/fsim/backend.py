@@ -25,17 +25,19 @@ Registered backends:
     soon as the faulty/fault-free difference dies.  Cheapest for single
     faults and narrow blocks.
 ``numpy``
-    The word-parallel batched engine of :mod:`repro.fsim.npfsim`:
-    patterns packed into ``uint64`` words, whole *batches* of faults
-    propagated level-by-level with masked numpy ops.  Fastest for large
-    circuits × many faults × wide blocks.
+    The word-parallel engine of :mod:`repro.fsim.npfsim`: patterns
+    packed into ``uint64`` words, one flip machine per fanout-free-region
+    root propagated level-by-level in batches, and every fault traced to
+    its root with sensitization words.  Fastest for large circuits × many
+    faults × wide blocks.
 ``parallel``
     The sharded multi-core engine of :mod:`repro.fsim.sharded`: the
     fault universe is split into contiguous shards, each simulated by a
     worker process running a base engine, and the packed per-shard
-    detection-matrix rows are reassembled bit-identically.  Fastest when
-    the single-core numpy engine saturates (10k+-gate circuits); spec
-    strings like ``parallel:4:numpy`` pin the shard count / base engine.
+    detection-matrix rows are reassembled bit-identically.  It pays off
+    only where one numpy core saturates, which the fanout-free-region
+    engine rarely does (measured numbers: ROADMAP item 5).  Spec strings
+    like ``parallel:4:numpy`` pin the shard count / base engine.
 ``auto``
     :class:`AutoFaultSim` — picks per query using circuit size, fault
     count and block width thresholds.  The default.

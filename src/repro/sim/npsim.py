@@ -9,7 +9,8 @@ backend does one Python op per gate regardless of width.  The benchmark
 
 :class:`LevelSchedule` levelizes a circuit once into contiguous per-level
 gate arrays so that one numpy gather/op/scatter evaluates a whole group of
-same-typed gates at a time.  It is the shared propagation core of both the
+same-typed gates at a time; the few gates of a narrow level are evaluated
+one by one with ufuncs writing into their rows.  It is the shared propagation core of both the
 levelized true-value simulation here and the batched fault simulator in
 :mod:`repro.fsim.npfsim` (the same schedule propagates ``(num_nodes, W)``
 and ``(num_nodes, B, W)`` value tensors).
@@ -106,32 +107,56 @@ class GateGroup:
 
 @dataclass(frozen=True)
 class Level:
-    """One topological level: vectorized groups plus odd-arity leftovers."""
+    """One topological level: vectorized groups plus single gates."""
 
     number: int
     groups: Tuple[GateGroup, ...]
-    #: Gates not worth grouping (arity 0 or > 2): (node, gtype, fanin ids).
-    odd: Tuple[Tuple[int, GateType, Tuple[int, ...]], ...]
+    #: Gates evaluated one at a time, in place:
+    #: ``(node, reduce ufunc or None, invert, fanin ids)``.
+    singles: Tuple[Tuple[int, object, bool, Tuple[int, ...]], ...]
+
+
+#: Per gate type: the ufunc folding its inputs (``None`` for BUF/NOT and
+#: constants) and whether the result is inverted.
+_SINGLE_OPS = {
+    GateType.AND: (np.bitwise_and, False),
+    GateType.NAND: (np.bitwise_and, True),
+    GateType.OR: (np.bitwise_or, False),
+    GateType.NOR: (np.bitwise_or, True),
+    GateType.XOR: (np.bitwise_xor, False),
+    GateType.XNOR: (np.bitwise_xor, True),
+    GateType.BUF: (None, False),
+    GateType.NOT: (None, True),
+    GateType.CONST0: (None, False),
+    GateType.CONST1: (None, True),
+}
 
 
 class LevelSchedule:
     """A circuit levelized once into per-level contiguous gate arrays.
 
-    Construction groups each level's gates by ``(gtype, arity)`` for the
-    1- and 2-input gates that dominate every netlist; constants and wider
-    gates are kept as per-gate leftovers.  :meth:`eval_level` then works
-    on any value tensor whose leading axis is the node id — ``(N, W)``
-    for true-value simulation, ``(N, B, W)`` for batched fault simulation
-    — because numpy fancy indexing is shape-agnostic past axis 0.
+    Construction groups each level's 1- and 2-input gates by
+    ``(gtype, arity)``; a group of at least :attr:`MIN_GROUP` gates is
+    evaluated with one numpy gather/op/scatter, everything else
+    (constants, wider gates, small groups) one gate at a time with
+    ufuncs writing straight into the gate's row.  :meth:`eval_level`
+    works on any value tensor whose leading axis is the node id —
+    ``(N, W)`` for true-value simulation, ``(N, B, W)`` for batched fault
+    simulation — because numpy indexing is shape-agnostic past axis 0.
     """
 
     #: Gate types eval_level vectorizes at each arity; anything else —
-    #: including degenerate 1-input AND/OR/... — goes down the odd path.
+    #: including degenerate 1-input AND/OR/... — is a single gate.
     VECTORIZED_1 = frozenset({GateType.BUF, GateType.NOT})
     VECTORIZED_2 = frozenset({
         GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
         GateType.XOR, GateType.XNOR,
     })
+
+    #: Smallest same-typed group worth a gather/op/scatter round trip;
+    #: below it, in-place per-gate ufuncs are cheaper (deep, narrow
+    #: circuits have one or two gates per level).
+    MIN_GROUP = 4
 
     def __init__(self, circ: CompiledCircuit):
         self.circ = circ
@@ -142,7 +167,7 @@ class LevelSchedule:
         levels: List[Level] = []
         for lvl in sorted(by_level):
             buckets: dict = {}
-            odd: List[Tuple[int, GateType, Tuple[int, ...]]] = []
+            singles = []
             for node in by_level[lvl]:
                 gtype = circ.node_type[node]
                 srcs = circ.fanin[node]
@@ -154,9 +179,12 @@ class LevelSchedule:
                 if vectorized:
                     buckets.setdefault((gtype, len(srcs)), []).append(node)
                 else:
-                    odd.append((node, gtype, srcs))
+                    singles.append(node)
             groups = []
             for (gtype, arity), nodes in sorted(buckets.items()):
+                if len(nodes) < self.MIN_GROUP:
+                    singles.extend(nodes)
+                    continue
                 node_arr = np.asarray(nodes, dtype=np.int64)
                 src_arrs = tuple(
                     np.asarray([circ.fanin[n][pin] for n in nodes],
@@ -164,8 +192,18 @@ class LevelSchedule:
                     for pin in range(arity)
                 )
                 groups.append(GateGroup(gtype, node_arr, src_arrs))
-            levels.append(Level(lvl, tuple(groups), tuple(odd)))
+            levels.append(Level(lvl, tuple(groups), tuple(
+                self._single(circ, node) for node in sorted(singles))))
         self.levels: Tuple[Level, ...] = tuple(levels)
+
+    @staticmethod
+    def _single(circ: CompiledCircuit, node: int):
+        """The ``Level.singles`` entry evaluating ``node`` on its own."""
+        gtype = circ.node_type[node]
+        if gtype not in _SINGLE_OPS:
+            raise SimulationError(f"cannot evaluate node type {gtype!r}")
+        reduce, invert = _SINGLE_OPS[gtype]
+        return (node, reduce, invert, tuple(circ.fanin[node]))
 
     def eval_level(self, level: Level, values: np.ndarray) -> None:
         """Evaluate one level's gates in place on a value tensor."""
@@ -200,43 +238,27 @@ class LevelSchedule:
                         f"cannot evaluate 1-input node type {gtype!r}"
                     )
             values[group.nodes] = out
-        for node, gtype, srcs in level.odd:
-            values[node] = _eval_odd_gate(gtype, values, srcs)
+        for node, reduce, invert, srcs in level.singles:
+            out = values[node]
+            if not srcs:  # CONST0 / CONST1
+                out.fill(ONES64 if invert else 0)
+            elif len(srcs) == 1:  # BUF/NOT, or a 1-input AND/NAND/...
+                if invert:
+                    np.invert(values[srcs[0]], out=out)
+                else:
+                    np.copyto(out, values[srcs[0]])
+            else:
+                reduce(values[srcs[0]], values[srcs[1]], out=out)
+                for src in srcs[2:]:
+                    reduce(out, values[src], out=out)
+                if invert:
+                    np.invert(out, out=out)
 
     def propagate(self, values: np.ndarray) -> np.ndarray:
         """Run all levels over ``values`` (inputs already filled) in place."""
         for level in self.levels:
             self.eval_level(level, values)
         return values
-
-
-def _eval_odd_gate(gtype: GateType, values: np.ndarray,
-                   srcs: Sequence[int]) -> np.ndarray:
-    """Evaluate one arity-0 or arity>2 gate on a value tensor."""
-    if gtype == GateType.CONST0:
-        return np.zeros(values.shape[1:], dtype=np.uint64)
-    if gtype == GateType.CONST1:
-        return np.full(values.shape[1:], ONES64, dtype=np.uint64)
-    if gtype == GateType.BUF:
-        return values[srcs[0]].copy()
-    if gtype == GateType.NOT:
-        return values[srcs[0]] ^ ONES64
-    if gtype in (GateType.AND, GateType.NAND):
-        acc = values[srcs[0]].copy()
-        for s in srcs[1:]:
-            acc &= values[s]
-        return acc if gtype == GateType.AND else acc ^ ONES64
-    if gtype in (GateType.OR, GateType.NOR):
-        acc = values[srcs[0]].copy()
-        for s in srcs[1:]:
-            acc |= values[s]
-        return acc if gtype == GateType.OR else acc ^ ONES64
-    if gtype in (GateType.XOR, GateType.XNOR):
-        acc = values[srcs[0]].copy()
-        for s in srcs[1:]:
-            acc ^= values[s]
-        return acc if gtype == GateType.XOR else acc ^ ONES64
-    raise SimulationError(f"cannot evaluate node type {gtype!r}")
 
 
 def simulate_matrix_levelized(circ: CompiledCircuit, inputs: np.ndarray,

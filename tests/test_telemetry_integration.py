@@ -12,6 +12,10 @@ Two cross-layer invariants anchor the observability story:
   a ``shard`` label; summing ``repro_fsim_faults_total`` across shard
   labels must equal the query's fault count for every shard count
   (inline path included).
+
+The ``numpy`` engine's own spans are pinned too: ``fsim.good_sim`` for
+the fault-free block simulation and ``fsim.stem_obs`` for the
+flip-machine pass of a query.
 """
 
 import json
@@ -21,6 +25,8 @@ import pytest
 from repro.faults import collapsed_fault_list
 from repro.flow import CircuitSpec, Flow, FlowConfig, USpec
 from repro.flow.cli import main as cli_main
+from repro.fsim.backend import backend_detection_matrix
+from repro.fsim.npfsim import NumpyFaultSim
 from repro.fsim.sharded import FAULTS_METRIC, ShardedFaultSim
 from repro.sim.patterns import PatternSet
 from repro.telemetry import SPAN_METRIC, scoped_registry, tracing
@@ -156,3 +162,24 @@ def test_sharded_telemetry_never_leaks_into_other_scopes(sharding_problem):
         pass
     assert first.counter(FAULTS_METRIC).series()
     assert second.families() == []
+
+
+# -- numpy engine spans -------------------------------------------------------
+
+def test_numpy_query_traces_good_sim_and_stem_observability(
+        sharding_problem):
+    circuit, faults, block = sharding_problem
+    engine = NumpyFaultSim(circuit)
+    with scoped_registry(), tracing() as collector:
+        engine.load(block)
+        backend_detection_matrix(engine, faults)
+    names = [node["name"] for node in collector.roots]
+    assert names == ["fsim.good_sim", "fsim.detection_matrix"]
+    good_sim = collector.roots[0]
+    assert good_sim["labels"] == {"patterns": str(block.num_patterns)}
+    query = collector.roots[1]
+    assert [child["name"] for child in query["children"]] == \
+        ["fsim.stem_obs"]
+    roots = {engine._root[f.node] for f in faults}
+    inner = [r for r in roots if not circuit.is_output[r]]
+    assert query["children"][0]["labels"] == {"roots": str(len(inner))}
