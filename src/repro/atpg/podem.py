@@ -21,10 +21,19 @@ A search's outcome depends only on the circuit, the fault and the
 backtrack limit, so :meth:`PodemEngine.outcome` memoizes it per engine:
 test generation for many fault orders of one circuit searches each
 fault once.  :meth:`PodemEngine.run` stays the uncached search.
+
+For the same reason the searches of a batch are independent:
+:meth:`PodemEngine.outcomes` answers a whole fault list at once and,
+when the batch is large enough and there are cores to spare, runs its
+memo misses in a forked process pool.  Each worker runs :meth:`run` on
+the inherited engine, so every result, and the memo and metrics built
+from them, is what a serial :meth:`outcome` loop gives.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -42,8 +51,10 @@ from repro.circuit.gate_types import (
 from repro.circuit.graph import output_cone
 from repro.errors import AtpgError
 from repro.faults.model import Fault, check_fault
+from repro.resilience import context as _resilience
 from repro.sim.threeval import X
 from repro.telemetry import get_registry
+from repro.utils import cores
 
 
 class PodemStatus(Enum):
@@ -100,6 +111,49 @@ _EVALUATORS = {
 }
 
 
+#: Fewest memo misses for which :meth:`PodemEngine.outcomes` forks a
+#: worker pool.  Measured on 2 cores with batches drawn from the prefilter
+#: survivors of the irs344 and irs298 builds: forking and reaping a
+#: two-worker pool costs ~17 ms; below 16 misses the pool won about half
+#: the batches (median 1.0-1.1x), from 16 up it won 11 of 12 (1.3-1.6x).
+POOL_MIN_MISSES = 16
+
+#: The ``(engine, backtrack_limit)`` a pool worker searches with; set
+#: only in workers, by :func:`_pool_init`.
+_pool_job: Optional[Tuple["PodemEngine", Optional[int]]] = None
+
+
+def _pool_init(engine: "PodemEngine",
+               backtrack_limit: Optional[int]) -> None:
+    """Pool worker start-up.  Under ``fork`` the arguments are inherited,
+    not pickled, so every worker gets the built engine (circuit, SCOAP,
+    kernel tables) for free."""
+    global _pool_job
+    _pool_job = (engine, backtrack_limit)
+
+
+def _pool_search(fault: Fault) -> PodemResult:
+    """One pool task: the inherited engine's uncached search."""
+    engine, backtrack_limit = _pool_job
+    return engine.run(fault, backtrack_limit)
+
+
+def _pool_workers(misses: int) -> int:
+    """Workers for a batch of ``misses`` searches; 0 means in-process.
+
+    A pool runs only when it can help and is safe to fork: more than one
+    usable core outside a daemonic worker, the caller the only live
+    thread (forking with others running can deadlock the child on a
+    lock they held), and a batch big enough to repay the fork.
+    """
+    if (misses < POOL_MIN_MISSES
+            or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or not cores.parallel_available()):
+        return 0
+    return min(cores.available_cores(), misses)
+
+
 @dataclass
 class _Decision:
     pi: int
@@ -113,13 +167,15 @@ class PodemEngine:
 
     Construction computes SCOAP once; :meth:`run` can then be called for
     many faults, and :meth:`outcome` remembers each result for the
-    engine's lifetime.
+    engine's lifetime.  :attr:`pooled_batches` counts the
+    :meth:`outcomes` batches whose misses were searched in a worker pool.
     """
 
     def __init__(self, circ: CompiledCircuit, scoap: Optional[Scoap] = None):
         self.circ = circ
         self.scoap = scoap or compute_scoap(circ)
         self._outcomes: Dict[Tuple[Fault, Optional[int]], PodemResult] = {}
+        self.pooled_batches = 0
         # Per node: its kind code (a one-input gate is a BUF or NOT), the
         # kind's evaluator, and a getter of its fanin values that always
         # yields a tuple (a one-input gate reads its source twice).
@@ -147,12 +203,75 @@ class PodemEngine:
         from the memo, in which case no search ran and ``result.seconds``
         is the cost of the search that first produced it.
         """
+        return self._settle(fault, backtrack_limit, None)
+
+    def outcomes(self, faults: Sequence[Fault],
+                 backtrack_limit: Optional[int] = 200) -> List[PodemResult]:
+        """:meth:`outcome`'s results for ``faults``, in input order.
+
+        The memo and the PODEM metrics end exactly as after a loop of
+        :meth:`outcome` calls.  When the batch has at least
+        :data:`POOL_MIN_MISSES` memo misses and a pool is safe and useful
+        (see :func:`_pool_workers`), the misses are searched in a forked
+        process pool, one search per task; otherwise in this process.
+        Searches are deterministic, so both give the same results.
+
+        A search error re-raises here with its own type.  If a worker
+        dies, the batch is finished in-process and the degradation is
+        recorded once.  No worker outlives the call.
+        """
+        misses = list(dict.fromkeys(
+            fault for fault in faults
+            if (fault, backtrack_limit) not in self._outcomes))
+        workers = _pool_workers(len(misses))
+        searched: Dict[Fault, PodemResult] = {}
+        if workers:
+            self.pooled_batches += 1
+            searched = dict(zip(misses, self._search_pooled(
+                misses, backtrack_limit, workers)))
+        # A miss the pool did not search is searched here.
+        return [self._settle(fault, backtrack_limit,
+                             searched.pop(fault, None))[0]
+                for fault in faults]
+
+    def _search_pooled(self, faults: List[Fault],
+                       backtrack_limit: Optional[int],
+                       workers: int) -> List[PodemResult]:
+        """:meth:`run` across ``workers`` forks for a prefix of ``faults``:
+        all of them, or those finished before the pool broke."""
+        # Imported here, not at start-up, which only pooled batches pay
+        # for (~10 ms per process).
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        results: List[PodemResult] = []
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_pool_init, initargs=(self, backtrack_limit))
+        try:
+            for result in pool.map(_pool_search, faults):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            _resilience.record(
+                "degradation", "atpg.podem_pool", searched=len(results),
+                remaining=len(faults) - len(results), error=str(exc))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        return results
+
+    def _settle(self, fault: Fault, backtrack_limit: Optional[int],
+                searched: Optional[PodemResult]
+                ) -> Tuple[PodemResult, bool]:
+        """:meth:`outcome`, taking ``searched`` (when given) as the result
+        of the search a memo miss needs."""
         key = (fault, backtrack_limit)
         result = self._outcomes.get(key)
         hit = result is not None
         registry = get_registry()
         if not hit:
-            result = self._outcomes[key] = self.run(fault, backtrack_limit)
+            if searched is None:
+                searched = self.run(fault, backtrack_limit)
+            result = self._outcomes[key] = searched
             registry.counter(
                 "repro_atpg_backtracks_total",
                 "PODEM backtracks of computed (not memoized) searches.",

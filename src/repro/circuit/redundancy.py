@@ -14,6 +14,13 @@ terminates when a full analysis proves no undetectable fault remains —
 the circuit is then irredundant (up to faults aborted at the backtrack
 limit, which are reported, never removed).
 
+Within one pass the PODEM searches are independent of each other, so a
+pass hands all its prefilter survivors to one
+:meth:`~repro.atpg.podem.PodemEngine.outcomes` batch, which spreads them
+over a forked worker pool when there are cores to spare.  The results,
+and so the ties and the netlists, are the same as searching one fault
+at a time.  Each pass is one ``circuit.redundancy_pass`` span.
+
 This module deliberately sits outside ``repro.circuit.__init__`` because
 it depends on the ATPG layer.
 """
@@ -33,23 +40,26 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
 from repro.fsim.dropping import drop_simulate
 from repro.sim.patterns import PatternSet
+from repro.telemetry import span
 
 _CONST_NAMES = {0: "__const0", 1: "__const1"}
 
 
 @dataclass
 class RedundancyResult:
-    """Outcome of :func:`make_irredundant`."""
+    """Outcome of :func:`make_irredundant`.
+
+    ``aborted`` names the faults the last analysis gave up on, described
+    in the circuit that analysis ran on.  ``is_proven_irredundant`` is
+    true only when that analysis ran on the returned circuit and found
+    no undetectable and no aborted fault.
+    """
 
     circuit: CompiledCircuit
     removed: List[str] = field(default_factory=list)
     aborted: List[str] = field(default_factory=list)
     passes: int = 0
-
-    @property
-    def is_proven_irredundant(self) -> bool:
-        """True when the final analysis pass proved every fault detectable."""
-        return not self.aborted
+    is_proven_irredundant: bool = False
 
 
 def _const_signal(circuit: Circuit, value: int) -> str:
@@ -249,6 +259,19 @@ def find_undetectable(
     Random patterns weed out the detectable bulk first; complete (or
     budgeted) PODEM then classifies the remainder.
     """
+    undetectable, aborted, _, _ = _analyse(
+        circ, backtrack_limit, prefilter_patterns, seed)
+    return undetectable, aborted
+
+
+def _analyse(
+    circ: CompiledCircuit,
+    backtrack_limit: Optional[int],
+    prefilter_patterns: int,
+    seed: int,
+) -> Tuple[List[Fault], List[Fault], int, bool]:
+    """:func:`find_undetectable` plus the number of PODEM candidates and
+    whether their searches ran in a worker pool."""
     faults = list(collapse_faults(circ).representatives)
     if prefilter_patterns > 0 and circ.num_inputs > 0:
         count = min(prefilter_patterns, 1 << min(circ.num_inputs, 20))
@@ -258,18 +281,19 @@ def find_undetectable(
     else:
         candidates = faults
 
-    # One engine per pass: its memo never serves a hit here, but the
-    # searches show up in the PODEM metrics like testgen's do.
+    # One engine per pass and one batch for all its candidates: the
+    # searches are independent, so the batch may run them in a worker
+    # pool, and they show up in the PODEM metrics like testgen's do.
     engine = PodemEngine(circ)
     undetectable: List[Fault] = []
     aborted: List[Fault] = []
-    for fault in candidates:
-        outcome, _ = engine.outcome(fault, backtrack_limit)
+    outcomes = engine.outcomes(candidates, backtrack_limit)
+    for fault, outcome in zip(candidates, outcomes):
         if outcome.status == PodemStatus.UNDETECTABLE:
             undetectable.append(fault)
         elif outcome.status == PodemStatus.ABORTED:
             aborted.append(fault)
-    return undetectable, aborted
+    return undetectable, aborted, len(candidates), engine.pooled_batches > 0
 
 
 def tie_fault_lines(circ: CompiledCircuit, faults: List[Fault]) -> Circuit:
@@ -332,50 +356,57 @@ def make_irredundant(
     current = circ
     removed: List[str] = []
     passes = 0
+    # The last analysis: the circuit it ran on and what it found.
+    analysed: Optional[CompiledCircuit] = None
+    undetectable: List[Fault] = []
     aborted: List[Fault] = []
     while passes < max_passes:
         passes += 1
-        undetectable, aborted = find_undetectable(
-            current,
-            backtrack_limit=backtrack_limit,
-            prefilter_patterns=prefilter_patterns,
-            seed=seed,
-        )
-        if not undetectable:
-            break
-        progressed = False
-        if batch:
-            netlist = simplify_constants(
-                tie_fault_lines(current, undetectable)
-            )
-            if name:
-                netlist.name = name
-            candidate = compile_circuit(netlist)
-            if (candidate.num_gates, candidate.node_type, candidate.fanin) != (
-                current.num_gates, current.node_type, current.fanin
-            ):
-                removed.extend(f.describe(current) for f in undetectable)
-                current = candidate
-                progressed = True
-        else:
-            # Apply the first removal that actually changes the netlist;
-            # degenerate ties (e.g. on logic that is already detached)
-            # would otherwise loop forever.
-            for fault in undetectable:
-                netlist = simplify_constants(tie_fault_line(current, fault))
+        with span("circuit.redundancy_pass", pass_number=passes) as pass_span:
+            analysed = current
+            undetectable, aborted, candidates, pooled = _analyse(
+                current, backtrack_limit, prefilter_patterns, seed)
+            pass_span.annotate(
+                candidates=candidates, undetectable=len(undetectable),
+                aborted=len(aborted), pooled=pooled)
+            if not undetectable:
+                break
+            progressed = False
+            if batch:
+                netlist = simplify_constants(
+                    tie_fault_lines(current, undetectable)
+                )
                 if name:
                     netlist.name = name
                 candidate = compile_circuit(netlist)
                 if (candidate.num_gates, candidate.node_type,
                         candidate.fanin) != (
                         current.num_gates, current.node_type, current.fanin):
-                    removed.append(fault.describe(current))
+                    removed.extend(f.describe(current) for f in undetectable)
                     current = candidate
                     progressed = True
-                    break
-        if not progressed:
-            break
+            else:
+                # Apply the first removal that actually changes the
+                # netlist; degenerate ties (e.g. on logic that is already
+                # detached) would otherwise loop forever.
+                for fault in undetectable:
+                    netlist = simplify_constants(
+                        tie_fault_line(current, fault))
+                    if name:
+                        netlist.name = name
+                    candidate = compile_circuit(netlist)
+                    if (candidate.num_gates, candidate.node_type,
+                            candidate.fanin) != (
+                            current.num_gates, current.node_type,
+                            current.fanin):
+                        removed.append(fault.describe(current))
+                        current = candidate
+                        progressed = True
+                        break
+            if not progressed:
+                break
 
+    proven = analysed is current and not undetectable and not aborted
     final_name = name or circ.name
     if current.name != final_name:
         netlist = to_netlist(current, name=final_name)
@@ -383,6 +414,7 @@ def make_irredundant(
     return RedundancyResult(
         circuit=current,
         removed=removed,
-        aborted=[f.describe(current) for f in aborted],
+        aborted=[f.describe(analysed) for f in aborted],
         passes=passes,
+        is_proven_irredundant=proven,
     )

@@ -81,6 +81,9 @@ from repro.resilience.chaos import ChaosInjected
 from repro.resilience.supervisor import RetryPolicy
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.telemetry import get_registry, scoped_registry, span
+# ``parallel_available`` is re-exported: the ``auto`` backend asks it here
+# whether the sharded pool can help.
+from repro.utils.cores import available_cores, parallel_available  # noqa: F401
 from repro.utils.detmatrix import DetectionMatrix
 
 #: Environment variable overriding the shard (worker) count.
@@ -102,26 +105,6 @@ DEFAULT_BASE = "numpy"
 
 #: Queries on fewer faults than this run inline (no worker pool).
 DEFAULT_MIN_FAULTS = 1024
-
-
-def available_cores() -> int:
-    """Usable CPU cores (CPU-affinity aware where the OS exposes it)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
-
-
-def parallel_available() -> bool:
-    """Whether spawning a sharded worker pool can possibly help here.
-
-    False inside daemonic worker processes (they may not have children —
-    a sharded worker must never recursively shard) and on single-core
-    hosts (process parallelism cannot beat one core).
-    """
-    if multiprocessing.current_process().daemon:
-        return False
-    return available_cores() > 1
 
 
 def default_num_shards() -> int:

@@ -185,6 +185,9 @@ class _NullSpan:
     def __exit__(self, *exc_info: Any) -> None:
         return None
 
+    def annotate(self, **labels: Any) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -231,6 +234,17 @@ class Span:
         get_registry().histogram(
             SPAN_METRIC, "Wall time of instrumented spans by name.",
         ).labels(span=self.name).observe(self.seconds)
+
+    def annotate(self, **labels: Any) -> None:
+        """Add labels known only once the work inside has run.
+
+        They reach the trace tree; the duration histogram is keyed by
+        the span name alone.
+        """
+        self.labels.update(labels)
+        if self._node is not None:
+            self._node["labels"].update(
+                {k: str(v) for k, v in labels.items()})
 
 
 def span(name: str, **labels: Any):

@@ -16,6 +16,8 @@ from repro.circuit.redundancy import (
     simplify_constants,
     tie_fault_line,
 )
+from repro.circuit.generator import generate_circuit
+from repro.experiments import suite
 from repro.faults import collapsed_fault_list
 from repro.sim import PatternSet, simulate_outputs
 from repro.telemetry import MetricsRegistry, scoped_registry
@@ -197,3 +199,52 @@ class TestMakeIrredundant:
         assert result.removed == []
         assert result.passes == 1
         assert result.circuit.node_type == c17_circuit.node_type
+
+
+class TestLastAnalysis:
+    """Aborts are named in the circuit the last analysis ran on, and only
+    a clean analysis of the returned circuit proves it irredundant."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_pass_limit_names_aborts_in_their_circuit(self, seed):
+        circ = generated_circuit(seed, num_inputs=10, num_gates=60,
+                                 num_outputs=4, hardness=0.3)
+        __, aborted = find_undetectable(circ, backtrack_limit=2)
+        result = make_irredundant(circ, backtrack_limit=2, batch=True,
+                                  max_passes=1)
+        assert result.removed
+        assert result.aborted == [f.describe(circ) for f in aborted]
+        assert not result.is_proven_irredundant
+
+    def test_irs344_recipe_at_the_pass_limit(self):
+        raw = generate_circuit(
+            suite._generator_spec(suite.suite_entry("irs344")))
+        result = make_irredundant(raw, name="irs344", batch=True,
+                                  backtrack_limit=600,
+                                  prefilter_patterns=4096, max_passes=1)
+        names = {f.describe(raw) for f in collapsed_fault_list(raw)}
+        assert result.removed and result.aborted
+        assert set(result.aborted) <= names
+        assert not result.is_proven_irredundant
+
+    def test_pass_limit_after_a_removal_is_not_proven(self,
+                                                     redundant_circuit):
+        result = make_irredundant(redundant_circuit, max_passes=1)
+        assert result.removed
+        assert result.aborted == []
+        assert not result.is_proven_irredundant
+
+    def test_no_progress_stop_is_not_proven(self, redundant_circuit,
+                                            monkeypatch):
+        monkeypatch.setattr("repro.circuit.redundancy.tie_fault_line",
+                            lambda circ, fault: to_netlist(circ))
+        result = make_irredundant(redundant_circuit)
+        assert result.removed == []
+        assert result.aborted == []
+        assert result.passes == 1
+        assert not result.is_proven_irredundant
+
+    def test_no_pass_proves_nothing(self, c17_circuit):
+        result = make_irredundant(c17_circuit, max_passes=0)
+        assert result.passes == 0
+        assert not result.is_proven_irredundant
